@@ -287,6 +287,34 @@ func BenchmarkCliqueFindParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkCliqueFindGrouped measures the grouped constructive search, the
+// clique pass that dominates REGIMap's placement time, on a hard kernel's
+// compatibility graph: dct4_row at its MII (608 nodes, ten bitset words),
+// where the search fails and so runs every promote-and-retry round and swap
+// repair.
+func BenchmarkCliqueFindGrouped(b *testing.B) {
+	k, _ := kernels.ByName("dct4_row")
+	d := k.Build()
+	c := arch.NewMesh(4, 4, 4)
+	sc := sched.New(d, 16, 4)
+	res, err := sc.Schedule(sc.MII(), sched.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cg, err := core.BuildCompat(d, c, res.Time, res.II, core.CompatOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups := make([][]int, d.N())
+	for v := range groups {
+		groups[v] = cg.Candidates(v)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clique.FindGrouped(cg.G, groups, clique.Options{})
+	}
+}
+
 // BenchmarkMapREGIMap measures an end-to-end REGIMap run on one kernel.
 func BenchmarkMapREGIMap(b *testing.B) {
 	c := arch.NewMesh(4, 4, 4)

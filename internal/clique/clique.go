@@ -326,6 +326,51 @@ func (s *state) clone() *state {
 	return c
 }
 
+// without copies s minus member x into a pooled state: the state a rebuild
+// adding s's other members in order would produce, derived without
+// re-adding them. Membership lists keep their order; x's weight leaves the
+// sums it entered — those of its cluster mates, or of the weighted members
+// when no clusters are installed — and cand is re-intersected from the
+// remaining adjacency rows. The result needs no feasibility re-check:
+// weights are non-negative register demands, so dropping a member only
+// lowers sums.
+func (s *state) without(x int) *state {
+	c := s.ar.get()
+	for _, m := range s.members {
+		if m == x {
+			continue
+		}
+		c.members = append(c.members, m)
+		c.inC.Set(m)
+		c.cand.And(s.g.adj[m])
+		c.sum[m] = s.sum[m]
+	}
+	for _, m := range s.wMembers {
+		if m != x {
+			c.wMembers = append(c.wMembers, m)
+		}
+	}
+	if s.byCluster != nil {
+		for _, m := range c.members {
+			if cl := s.g.cluster[m]; len(c.byCluster[cl]) == 0 {
+				for _, v := range s.byCluster[cl] {
+					if v != x {
+						c.byCluster[cl] = append(c.byCluster[cl], v)
+					}
+				}
+			}
+		}
+		for _, v := range c.byCluster[s.g.cluster[x]] {
+			c.sum[v] -= s.g.Weight(v, x)
+		}
+	} else {
+		for _, v := range c.wMembers {
+			c.sum[v] -= s.g.Weight(v, x)
+		}
+	}
+	return c
+}
+
 // canAdd reports whether u keeps the clique feasible. When weight clusters
 // are installed (REGIMap's PEs), only same-cluster members interact with u,
 // so the check is O(ops per PE); otherwise only the weighted members can
@@ -454,18 +499,28 @@ func rebuild(ar *arena, members []int) *state {
 	return s
 }
 
+// The search budgets an unset (<=0) Options field selects.
+const (
+	DefaultMaxSeeds         = 16 // Find's greedy starts
+	DefaultMaxIntersections = 32 // Find's clique-pair intersections
+	DefaultGroupRounds      = 4  // FindGrouped's promote-and-retry rounds
+)
+
 // Options tunes the heuristic search; zero values select the paper's
 // configuration.
 type Options struct {
-	// MaxSeeds bounds how many greedy starts are attempted (<=0: 16).
+	// MaxSeeds bounds how many greedy starts are attempted
+	// (<=0: DefaultMaxSeeds).
 	MaxSeeds int
-	// MaxIntersections bounds the clique-pair intersection phase (<=0: 32).
+	// MaxIntersections bounds the clique-pair intersection phase
+	// (<=0: DefaultMaxIntersections).
 	MaxIntersections int
 	// DisableSwap turns off the one-out swap repair (ablation).
 	DisableSwap bool
 	// DisableIntersect turns off the intersection re-seeding (ablation).
 	DisableIntersect bool
-	// GroupRounds bounds FindGrouped's promote-and-retry rounds (<=0: 6).
+	// GroupRounds bounds FindGrouped's promote-and-retry rounds
+	// (<=0: DefaultGroupRounds).
 	GroupRounds int
 	// GroupOrder, when non-nil, fixes FindGrouped's initial placement order
 	// (REGIMap passes schedule order so operations land next to their
@@ -505,11 +560,11 @@ func Find(g *Graph, target int, opts Options) (best []int) {
 	}
 	maxSeeds := opts.MaxSeeds
 	if maxSeeds <= 0 {
-		maxSeeds = 16
+		maxSeeds = DefaultMaxSeeds
 	}
 	maxInter := opts.MaxIntersections
 	if maxInter <= 0 {
-		maxInter = 32
+		maxInter = DefaultMaxIntersections
 	}
 	if target > g.n {
 		target = g.n
@@ -609,7 +664,7 @@ func swapImprove(s *state, target int) *state {
 		if u == -1 {
 			break
 		}
-		next := removeMember(cur, x)
+		next := cur.without(x)
 		if !next.canAdd(u) {
 			// The candidate violates the weight budget even after the
 			// removal; blacklisting would require bookkeeping — simply stop.
@@ -649,16 +704,6 @@ func findSwap(s *state) (u, x int) {
 		}
 	}
 	return -1, -1
-}
-
-func removeMember(s *state, x int) *state {
-	next := s.ar.get()
-	for _, m := range s.members {
-		if m != x {
-			next.add(m)
-		}
-	}
-	return next
 }
 
 // intersect returns a ∩ b using the arena's scratch bitset; the result

@@ -22,7 +22,7 @@ import (
 func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 	rounds := opts.GroupRounds
 	if rounds <= 0 {
-		rounds = 4
+		rounds = DefaultGroupRounds
 	}
 
 	sp := opts.Trace.Start("clique.grouped")
@@ -64,14 +64,7 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 		})
 	}
 
-	groupOf := make([]int, g.n)
-	masks := graph.NewBitsetSlab(g.n, len(groups))
-	for gi, cands := range groups {
-		for _, u := range cands {
-			groupOf[u] = gi
-			masks[gi].Set(u)
-		}
-	}
+	gx := newGroupIndex(g.n, groups)
 	fc := newForwardChecker(g.n)
 
 	ar, release := opts.acquireArena(g)
@@ -87,9 +80,9 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 		}
 		for oi, gi := range order {
 			pending[gi] = false
-			pick := pickCandidate(g, s, groups, masks, order[oi+1:], pending, gi, fc)
+			pick := pickCandidate(g, s, groups, gx, order[oi+1:], pending, gi, fc)
 			if pick == -1 {
-				if repaired := swapInGroup(g, s, groups, groupOf, gi); repaired != nil {
+				if repaired := swapInGroup(g, s, groups, gx.of, gi); repaired != nil {
 					ar.put(s)
 					s = repaired
 					continue
@@ -106,7 +99,7 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 			progress := false
 			still := failed[:0]
 			for _, gi := range failed {
-				if repaired := swapInGroup(g, s, groups, groupOf, gi); repaired != nil {
+				if repaired := swapInGroup(g, s, groups, gx.of, gi); repaired != nil {
 					ar.put(s)
 					s = repaired
 					progress = true
@@ -146,16 +139,46 @@ func FindGrouped(g *Graph, groups [][]int, opts Options) (best []int) {
 	return best
 }
 
+// groupIndex is FindGrouped's per-call view of the groups: each node's
+// group, and each group's candidate mask together with the word range the
+// mask occupies. A group's candidates are one operation's bindings, which
+// get consecutive ids, so the range is a few words wide however large the
+// graph grows; forward checking touches only those words.
+type groupIndex struct {
+	of     []int           // node -> group
+	masks  []*graph.Bitset // group -> its candidates
+	lo, hi []int           // group -> half-open word range of its mask
+}
+
+func newGroupIndex(n int, groups [][]int) *groupIndex {
+	gx := &groupIndex{
+		of:    make([]int, n),
+		masks: graph.NewBitsetSlab(n, len(groups)),
+		lo:    make([]int, len(groups)),
+		hi:    make([]int, len(groups)),
+	}
+	for gi, cands := range groups {
+		for _, u := range cands {
+			gx.of[u] = gi
+			gx.masks[gi].Set(u)
+		}
+		gx.lo[gi], gx.hi[gi] = gx.masks[gi].WordBounds()
+	}
+	return gx
+}
+
 // swapInGroup is the grouped variant of the paper's one-out repair: when no
 // candidate of group gi joins the clique, look for a candidate u blocked by
 // exactly one member x; evict x, admit u, and re-place x's group on another
 // of its candidates. It returns the repaired state, or nil.
+//
+// "The clique minus x" is an order-preserving copy of s without x (see
+// state.without), shared by consecutive candidates with the same blocker —
+// a group's candidates typically contend for one PE and so collide on the
+// same member. It needs no feasibility re-check: feasibility is hereditary.
 func swapInGroup(g *Graph, s *state, groups [][]int, groupOf []int, gi int) *state {
-	// Candidates of one group typically collide on the same member (they
-	// contend for one PE), so the expensive rebuild-without-the-blocker is
-	// cached across consecutive candidates sharing a blocker.
 	var base *state
-	baseBlocker, baseOK := -1, false
+	baseBlocker := -1
 	defer func() {
 		if base != nil {
 			s.ar.put(base)
@@ -175,26 +198,14 @@ func swapInGroup(g *Graph, s *state, groups [][]int, groupOf []int, gi int) *sta
 				break
 			}
 		}
-		// Rebuild without the blocker; admit u; re-place the blocker's group.
+		// Drop the blocker; admit u; re-place the blocker's group.
 		if blocker != baseBlocker {
-			if base == nil {
-				base = s.ar.get()
-			} else {
-				base.reset()
+			if base != nil {
+				s.ar.put(base)
 			}
-			baseBlocker, baseOK = blocker, true
-			for _, m := range s.members {
-				if m == blocker {
-					continue
-				}
-				if !base.canAdd(m) {
-					baseOK = false
-					break
-				}
-				base.add(m)
-			}
+			base, baseBlocker = s.without(blocker), blocker
 		}
-		if !baseOK || !base.canAdd(u) {
+		if !base.canAdd(u) {
 			continue
 		}
 		trial := base.clone()
@@ -259,8 +270,10 @@ func newForwardChecker(n int) *forwardChecker {
 // A pending group's live count for candidate u is |mask(gj) ∩ cand ∩ adj(u)|
 // capped at 2. The cand intersection is hoisted into the forwardChecker (it
 // is the same for every u), leaving one early-exiting word-level pass — or a
-// single bit probe — per (candidate, group) pair.
-func pickCandidate(g *Graph, s *state, groups [][]int, masks []*graph.Bitset, rest []int, pending []bool, gi int, fc *forwardChecker) int {
+// single bit probe — per (candidate, group) pair. Every pass over a group's
+// mask stays inside the group's word range: outside it the mask is empty, so
+// the live masks' words there are never written or read.
+func pickCandidate(g *Graph, s *state, groups [][]int, gx *groupIndex, rest []int, pending []bool, gi int, fc *forwardChecker) int {
 	fc.nLive, fc.nSingle = 0, 0
 	looked := 0
 	for _, gj := range rest {
@@ -271,13 +284,13 @@ func pickCandidate(g *Graph, s *state, groups [][]int, masks []*graph.Bitset, re
 			break
 		}
 		lm := fc.live[fc.nLive]
-		lw, hw := lm.AndInto(masks[gj], s.cand)
+		lw, hw := lm.AndIntoIn(gx.masks[gj], s.cand, gx.lo[gj], gx.hi[gj])
 		switch lm.IntersectCountUpToIn(lm, 2, lw, hw) {
 		case 0:
 			// Dead for every candidate alike: a uniform offset never moves
 			// the argmin, so the group is dropped from the per-candidate work.
 		case 1:
-			fc.single[fc.nSingle] = lm.First()
+			fc.single[fc.nSingle] = lm.FirstIn(lw, hw)
 			fc.nSingle++
 		default:
 			fc.lo[fc.nLive], fc.hi[fc.nLive] = lw, hw

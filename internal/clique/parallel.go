@@ -150,11 +150,11 @@ func findParallel(g *Graph, target int, opts Options) (best []int) {
 	workers := opts.Workers
 	maxSeeds := opts.MaxSeeds
 	if maxSeeds <= 0 {
-		maxSeeds = 16
+		maxSeeds = DefaultMaxSeeds
 	}
 	maxInter := opts.MaxIntersections
 	if maxInter <= 0 {
-		maxInter = 32
+		maxInter = DefaultMaxIntersections
 	}
 	if target > g.n {
 		target = g.n

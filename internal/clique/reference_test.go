@@ -478,6 +478,52 @@ func TestFindGroupedDeterministicAndFeasible(t *testing.T) {
 	}
 }
 
+// TestStateWithoutMatchesRebuild checks the swap repairs' copy-without-x
+// against the rebuild it replaces — re-adding every other member in order —
+// field by field, in both weight modes, on recycled arena states.
+func TestStateWithoutMatchesRebuild(t *testing.T) {
+	gens := map[string]func(r *rand.Rand) *Graph{
+		"flat":    func(r *rand.Rand) *Graph { return randomFlatGraph(r, 20+r.Intn(120), 2+r.Intn(4), 0.7, 0.6) },
+		"cluster": func(r *rand.Rand) *Graph { return randomClusterGraph(r, 20+r.Intn(120), 2+r.Intn(3), 2+r.Intn(4), 0.7) },
+	}
+	for name, gen := range gens {
+		t.Run(name, func(t *testing.T) {
+			for trial := 0; trial < 30; trial++ {
+				rng := rand.New(rand.NewSource(int64(15000 + trial)))
+				g := gen(rng)
+				ar := newArena(g)
+				s := ar.get()
+				s.add(rng.Intn(g.N()))
+				s.grow(g.N())
+				for _, x := range s.members {
+					var rest []int
+					for _, m := range s.members {
+						if m != x {
+							rest = append(rest, m)
+						}
+					}
+					got, want := s.without(x), rebuild(ar, rest)
+					if !reflect.DeepEqual(got.members, want.members) ||
+						!reflect.DeepEqual(got.wMembers, want.wMembers) ||
+						!reflect.DeepEqual(got.sum, want.sum) ||
+						!reflect.DeepEqual(got.inC.Members(), want.inC.Members()) ||
+						!reflect.DeepEqual(got.cand.Members(), want.cand.Members()) {
+						t.Fatalf("trial %d: without(%d) of %v differs from rebuild", trial, x, s.members)
+					}
+					for cl := range want.byCluster {
+						if len(got.byCluster[cl])+len(want.byCluster[cl]) > 0 &&
+							!reflect.DeepEqual(got.byCluster[cl], want.byCluster[cl]) {
+							t.Fatalf("trial %d: without(%d) cluster %d = %v, rebuild %v", trial, x, cl, got.byCluster[cl], want.byCluster[cl])
+						}
+					}
+					ar.put(got)
+					ar.put(want)
+				}
+			}
+		})
+	}
+}
+
 // sanity check for the reference itself: its results must be feasible too,
 // otherwise agreement above would prove nothing.
 func TestReferenceSanity(t *testing.T) {

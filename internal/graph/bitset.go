@@ -172,14 +172,17 @@ func (b *Bitset) IntersectCountUpTo(other *Bitset, limit int) int {
 	return total
 }
 
-// AndInto overwrites b with x ∩ y and returns the half-open word range of
-// the result, as WordBounds would — one pass where CopyFrom + And +
-// WordBounds would take three.
-func (b *Bitset) AndInto(x, y *Bitset) (lo, hi int) {
+// AndIntoIn overwrites the words [loWord, hiWord) of b with x ∩ y and
+// returns the half-open word range of the result's members within them, as
+// WordBounds would. Words outside the range are left as they were: callers
+// (the grouped clique search intersects each group's candidate mask, which
+// lies inside the group's own word range) must read the result only through
+// ranged operations bounded by the returned range.
+func (b *Bitset) AndIntoIn(x, y *Bitset, loWord, hiWord int) (lo, hi int) {
 	if b.n != x.n || b.n != y.n {
 		panic("graph: bitset capacity mismatch")
 	}
-	for i := range b.words {
+	for i := loWord; i < hiWord; i++ {
 		w := x.words[i] & y.words[i]
 		b.words[i] = w
 		if w != 0 {
@@ -229,11 +232,12 @@ func (b *Bitset) IntersectCountUpToIn(other *Bitset, limit, loWord, hiWord int) 
 	return total
 }
 
-// First returns the smallest member, or -1 when the set is empty.
-func (b *Bitset) First() int {
-	for wi, w := range b.words {
-		if w != 0 {
-			return wi*64 + bits.TrailingZeros64(w)
+// FirstIn returns the smallest member within the word range
+// [loWord, hiWord), or -1 when the range holds none.
+func (b *Bitset) FirstIn(loWord, hiWord int) int {
+	for i := loWord; i < hiWord; i++ {
+		if w := b.words[i]; w != 0 {
+			return i*64 + bits.TrailingZeros64(w)
 		}
 	}
 	return -1

@@ -173,3 +173,66 @@ func TestBitsetGrow(t *testing.T) {
 		t.Fatalf("Grow within capacity allocates %.1f times per run", n)
 	}
 }
+
+// TestBitsetRangedOps checks the word-range operations the grouped clique
+// search's forward checking runs on: x holds members only inside its
+// WordBounds, and AndIntoIn/FirstIn/IntersectCountUpToIn over that range
+// must agree with the full-width intersection while leaving the words
+// outside the range untouched.
+func TestBitsetRangedOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(400)
+		x, y := NewBitset(n), NewBitset(n)
+		from := rng.Intn(n)
+		to := from + rng.Intn(n-from+1)
+		for i := from; i < to; i++ {
+			if rng.Intn(3) > 0 {
+				x.Set(i)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				y.Set(i)
+			}
+		}
+		want := x.Clone()
+		want.And(y)
+		wantLo, wantHi := want.WordBounds()
+
+		b := NewBitset(n)
+		b.Fill() // stale contents the ranged write must leave outside its range
+		glo, ghi := x.WordBounds()
+		lo, hi := b.AndIntoIn(x, y, glo, ghi)
+		if lo != wantLo || hi != wantHi {
+			t.Fatalf("trial %d: AndIntoIn bounds [%d,%d), want [%d,%d)", trial, lo, hi, wantLo, wantHi)
+		}
+		full := NewBitset(n)
+		full.Fill()
+		for i := range b.words {
+			w := full.words[i]
+			if i >= glo && i < ghi {
+				w = want.words[i]
+			}
+			if b.words[i] != w {
+				t.Fatalf("trial %d: word %d = %x, want %x", trial, i, b.words[i], w)
+			}
+		}
+		first := -1
+		if m := want.Members(); len(m) > 0 {
+			first = m[0]
+		}
+		if got := b.FirstIn(lo, hi); got != first {
+			t.Fatalf("trial %d: FirstIn = %d, want %d", trial, got, first)
+		}
+		for limit := 1; limit <= 3; limit++ {
+			wantCount := want.IntersectCountUpTo(y, limit)
+			if got := b.IntersectCountUpToIn(y, limit, lo, hi); got != wantCount {
+				t.Fatalf("trial %d: IntersectCountUpToIn(limit %d) = %d, want %d", trial, limit, got, wantCount)
+			}
+		}
+	}
+	if got := NewBitset(70).FirstIn(0, 2); got != -1 {
+		t.Fatalf("FirstIn on an empty set = %d, want -1", got)
+	}
+}

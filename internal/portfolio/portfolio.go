@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"regimap/internal/arch"
+	"regimap/internal/clique"
 	"regimap/internal/core"
 	"regimap/internal/dfg"
 	"regimap/internal/dresc"
@@ -579,18 +580,24 @@ func Variant(base core.Options, scout int, seed int64) core.Options {
 	o := base
 	step := 1 + (scout-1)/4 // widen further as the scout pool grows
 	offset := int(uint64(seed) % 4)
+	seeds := defaulted(base.Clique.MaxSeeds, clique.DefaultMaxSeeds)
+	inters := defaulted(base.Clique.MaxIntersections, clique.DefaultMaxIntersections)
+	// Round widenings start two above FindGrouped's default: the scout
+	// budgets were tuned against that base, so a scout touching rounds
+	// always outspends scout 0's grouped passes.
+	rounds := defaulted(base.Clique.GroupRounds, clique.DefaultGroupRounds+2)
 	switch (scout - 1 + offset) % 4 {
 	case 0: // wider greedy seeding: more clique starting points
-		o.Clique.MaxSeeds = defaulted(base.Clique.MaxSeeds, 16) + 8*step
+		o.Clique.MaxSeeds = seeds + 8*step
 	case 1: // narrower seeding, deeper intersection re-seeding
-		o.Clique.MaxSeeds = maxInt(4, defaulted(base.Clique.MaxSeeds, 16)/2)
-		o.Clique.MaxIntersections = defaulted(base.Clique.MaxIntersections, 32) * (1 + step)
+		o.Clique.MaxSeeds = maxInt(4, seeds/2)
+		o.Clique.MaxIntersections = inters * (1 + step)
 	case 2: // more promote-and-retry rounds in the grouped constructive pass
-		o.Clique.GroupRounds = defaulted(base.Clique.GroupRounds, 6) + 2*step
+		o.Clique.GroupRounds = rounds + 2*step
 	case 3: // widen every clique budget at once: the brute-force scout
-		o.Clique.MaxSeeds = defaulted(base.Clique.MaxSeeds, 16) + 4*step
-		o.Clique.MaxIntersections = defaulted(base.Clique.MaxIntersections, 32) + 16*step
-		o.Clique.GroupRounds = defaulted(base.Clique.GroupRounds, 6) + step
+		o.Clique.MaxSeeds = seeds + 4*step
+		o.Clique.MaxIntersections = inters + 16*step
+		o.Clique.GroupRounds = rounds + step
 	}
 	return o
 }
