@@ -262,8 +262,9 @@ func BenchmarkCliqueFind(b *testing.B) {
 
 // BenchmarkCliqueFindParallel measures the same search with the parallel
 // engine at several worker counts. Results are byte-identical to the
-// sequential engine (DESIGN.md section 8g); only wall-clock may differ, so
-// the bench-compare job tracks these series alongside BenchmarkCliqueFind.
+// sequential engine (DESIGN.md section 8g); only wall-clock may differ.
+// workers=1 is the sequential engine on the same pooled arenas: the
+// same-work row each parallel count is judged against.
 func BenchmarkCliqueFindParallel(b *testing.B) {
 	d := benchKernel()
 	c := arch.NewMesh(4, 4, 4)
@@ -276,7 +277,7 @@ func BenchmarkCliqueFindParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range []int{2, 4, 8} {
+	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			pool := clique.NewPool()
 			b.ResetTimer()
@@ -325,12 +326,12 @@ func BenchmarkMapREGIMap(b *testing.B) {
 	}
 }
 
-// BenchmarkMapREGIMapParallel is the end-to-end run with the clique search
-// parallelized, the configuration the ISSUE's 8-worker latency target is
-// measured on.
+// BenchmarkMapREGIMapParallel is the end-to-end run with the placement
+// passes and the clique search parallelized. workers=1 runs the same passes
+// in order on one goroutine: the same-work sequential row.
 func BenchmarkMapREGIMapParallel(b *testing.B) {
 	c := arch.NewMesh(4, 4, 4)
-	for _, w := range []int{2, 4, 8} {
+	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			opts := core.Options{Clique: clique.Options{Workers: w, Arenas: clique.NewPool()}}
 			b.ResetTimer()
@@ -376,11 +377,12 @@ func BenchmarkMapDRESC(b *testing.B) {
 // seed-derived annealing chains per II reduced deterministically
 // (lowest-index success wins), across worker counts. The placement is
 // identical at every worker count — the sweep shows how much wall-clock the
-// same search costs as parallelism varies, the configuration the multi-core
-// latency target is measured on.
+// same search costs as parallelism varies. workers=1 runs the same 4 chains
+// in order on the caller's goroutine: the same-work sequential row
+// (BenchmarkMapDRESC runs one chain, so it is not comparable).
 func BenchmarkMapDRESCParallel(b *testing.B) {
 	c := arch.NewMesh(4, 4, 4)
-	for _, w := range []int{2, 4, 8} {
+	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := dresc.Options{Seed: int64(i), Restarts: 4, Workers: w}

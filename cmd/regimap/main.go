@@ -64,9 +64,9 @@ func main() {
 		svgPath       = flag.String("svg", "", "write the mapping as an SVG picture to this file (regimap mapper only)")
 		vcdPath       = flag.String("vcd", "", "write a VCD waveform of the execution to this file (regimap mapper only)")
 		jsonOut       = flag.Bool("json", false, "emit mapper statistics as JSON (regimap mapper only)")
-		seed          = flag.Int64("seed", 1, "base seed: DRESC annealing / portfolio diversification")
+		seed          = flag.Int64("seed", 1, "base seed: DRESC annealing / the -explore scouts' widening mix")
 		timeout       = flag.Duration("timeout", 0, "abort mapping after this long (0: unbounded)")
-		portfolio     = flag.Int("portfolio", 1, "speculate on this many IIs in parallel (regimap: result-identical; dresc: seeds per II)")
+		portfolio     = flag.Int("portfolio", 1, "speculate on this many IIs in parallel (regimap mapper; result-identical at any value)")
 		explore       = flag.Int("explore", 0, "also race this many budget-widened scout searches per II (regimap mapper; may lower the II)")
 		cliqueWorkers = flag.Int("clique-workers", 0, "parallelize the clique search across this many goroutines (regimap mapper; <=1: sequential; results are byte-identical at any value)")
 		drescRestarts = flag.Int("dresc-restarts", 0, "race this many seed-derived annealing chains per II (dresc mapper; <=1: one chain; results depend on this, not on -dresc-workers)")
@@ -79,6 +79,10 @@ func main() {
 	if *showVersion {
 		fmt.Println(version.String())
 		return
+	}
+	if msg := flagConflict(*mapper, *portfolio); msg != "" {
+		fmt.Fprint(os.Stderr, msg)
+		os.Exit(2)
 	}
 	stop, err := profiling.Start(*cpuProf, *memProf)
 	exitOn(err)
@@ -249,18 +253,6 @@ func main() {
 			fmt.Printf("functional simulation: %d iterations bit-identical to the reference\n", *simN)
 		}
 	case "dresc":
-		if *portfolio > 1 {
-			p, pstats, err := regimap.MapDRESCPortfolio(ctx, d, c, regimap.DRESCPortfolioOptions{
-				Attempts: *portfolio,
-				Base:     regimap.DRESCOptions{Seed: *seed, Restarts: *drescRestarts, Workers: *drescWorkers},
-			})
-			exitOn(err)
-			fmt.Printf("DRESC portfolio: II=%d (MII=%d, perf %.2f) in %v — seed %d (attempt %d of %d) won, %d losers cancelled\n",
-				pstats.II, pstats.MII, pstats.Perf(), pstats.Elapsed,
-				*seed+int64(pstats.Winner), pstats.Winner, *portfolio, pstats.Cancelled)
-			fmt.Printf("placement: %d operations, %d routed edges\n", len(p.PE), len(p.Paths))
-			return
-		}
 		p, stats, err := regimap.MapDRESCContext(ctx, d, c, regimap.DRESCOptions{Seed: *seed, Restarts: *drescRestarts, Workers: *drescWorkers})
 		exitOn(err)
 		fmt.Printf("DRESC: II=%d (MII=%d, perf %.2f) in %v — %d annealing moves (%d accepted)\n",
@@ -327,6 +319,16 @@ func main() {
 		stopProfiles()
 		os.Exit(2)
 	}
+}
+
+// flagConflict explains a flag combination that has no meaning, or returns
+// "" when there is none. -portfolio races REGIMap's II window only; DRESC
+// races its annealing chains through -dresc-restarts.
+func flagConflict(mapper string, portfolio int) string {
+	if mapper == "dresc" && portfolio > 1 {
+		return "regimap: -portfolio applies to the regimap mapper only; race DRESC annealing chains per II with -dresc-restarts K\n"
+	}
+	return ""
 }
 
 // unknownMapperMessage explains a bad -mapper value by listing the engine

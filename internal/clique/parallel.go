@@ -8,11 +8,14 @@
 package clique
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"regimap/internal/graph"
+	"regimap/internal/obs"
+	"regimap/internal/race"
 )
 
 // Pool shares search arenas across requests and workers. regimapd installs
@@ -105,38 +108,15 @@ func (o Options) canceled() bool {
 	return o.Ctx != nil && o.Ctx.Err() != nil
 }
 
-// runWorkers runs fn on n goroutines and waits for all of them.
-func runWorkers(n int, fn func(w int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// casMin lowers v to x if x is smaller (lock-free running minimum).
-func casMin(v *atomic.Int64, x int64) {
-	for {
-		cur := v.Load()
-		if x >= cur || v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
-}
-
 // findParallel is Find across Options.Workers goroutines with byte-identical
 // results.
 //
 // Seed phase: each seed's grow/swap is a pure function of (graph, seed,
-// target), so workers steal seed indices from an atomic counter, write into
+// target), so race.First hands seed indices to the workers, each writes into
 // a per-index slot, and the merge replays the sequential loop over the slots
-// in seed order. The shared `stop` bound is the earliest seed index whose
-// clique reached the target: the sequential loop returns there, so later
-// indices are skipped — indices at or before it are always fully computed.
+// in seed order. A seed succeeds when its clique reaches the target: the
+// sequential loop returns at the first such seed, so race.First skips later
+// indices — indices at or before it are always fully computed.
 //
 // Intersection phase: the sequential pair enumeration feeds on its own
 // output (each considered clique joins the pair pool), so it is replayed
@@ -180,51 +160,67 @@ func findParallel(g *Graph, target int, opts Options) (best []int) {
 		order = order[:maxSeeds]
 	}
 
-	// Seed phase.
+	// A worker slot takes an arena on its first index and hands it back when
+	// the phase ends, so the next phase's slots reuse the warm ones.
+	arenas := make([]*arena, workers)
+	releases := make([]func(), workers)
+	arenaFor := func(w int) *arena {
+		if arenas[w] == nil {
+			arenas[w], releases[w] = opts.acquireArena(g)
+		}
+		return arenas[w]
+	}
+	endPhase := func() {
+		for w, release := range releases {
+			if release != nil {
+				release()
+				arenas[w], releases[w] = nil, nil
+			}
+		}
+	}
+	defer endPhase()
+
+	// Seed phase. Each worker slot's share of it is one partition span.
 	type seedRes struct {
 		ok      bool // seed was feasible (the sequential loop calls consider)
 		members []int
 	}
 	results := make([]seedRes, len(order))
-	var next, stop atomic.Int64
-	stop.Store(int64(len(order)))
-	runWorkers(workers, func(w int) {
-		ar, release := opts.acquireArena(g)
-		defer release()
-		wsp := opts.Trace.Start("clique.partition")
-		done := 0
-		defer func() {
-			wsp.Field("worker", int64(w))
-			wsp.Field("seeds", int64(done))
-			wsp.End()
-		}()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(order) || opts.canceled() {
-				return
-			}
-			if int64(i) > stop.Load() {
-				continue // the merge provably stops before this index
-			}
-			s := ar.get()
-			if !s.canAdd(order[i]) {
-				ar.recycleAll()
-				done++
-				continue
-			}
-			s.add(order[i])
-			s.grow(target)
-			if !opts.DisableSwap {
-				s = swapImprove(s, target)
-			}
-			results[i] = seedRes{ok: true, members: append([]int(nil), s.members...)}
-			if len(s.members) >= target {
-				casMin(&stop, int64(i))
-			}
-			ar.recycleAll()
-			done++
+	seeds := make([]int, workers)
+	var spans []obs.Span
+	if opts.Trace.Enabled() {
+		spans = make([]obs.Span, workers)
+	}
+	_, panics := race.First(opts.Ctx, "clique seed", len(order), workers, func(_ context.Context, w, i int) bool {
+		if seeds[w] == 0 && spans != nil {
+			spans[w] = opts.Trace.Start("clique.partition")
 		}
+		seeds[w]++
+		ar := arenaFor(w)
+		defer ar.recycleAll()
+		s := ar.get()
+		if !s.canAdd(order[i]) {
+			return false
+		}
+		s.add(order[i])
+		s.grow(target)
+		if !opts.DisableSwap {
+			s = swapImprove(s, target)
+		}
+		results[i] = seedRes{ok: true, members: append([]int(nil), s.members...)}
+		return len(s.members) >= target
 	})
+	for w := range spans {
+		if seeds[w] > 0 {
+			spans[w].Field("worker", int64(w))
+			spans[w].Field("seeds", int64(seeds[w]))
+			spans[w].End()
+		}
+	}
+	endPhase()
+	if len(panics) > 0 {
+		panic(panics[0])
+	}
 
 	var found [][]int
 	for i := range results {
@@ -305,24 +301,20 @@ func findParallel(g *Graph, target int, opts Options) (best []int) {
 			return best
 		}
 		waves++
-		var cursor atomic.Int64
-		runWorkers(workers, func(w int) {
-			ar, release := opts.acquireArena(g)
-			defer release()
-			for {
-				k := int(cursor.Add(1)) - 1
-				if k >= len(missing) || opts.canceled() {
-					return
-				}
-				s := rebuild(ar, missing[k].seed)
-				s.grow(target)
-				if !opts.DisableSwap {
-					s = swapImprove(s, target)
-				}
-				missing[k].result = append([]int(nil), s.members...)
-				ar.recycleAll()
+		race.Each("clique intersection", len(missing), workers, func(w, k int) {
+			if opts.canceled() {
+				return
 			}
+			ar := arenaFor(w)
+			defer ar.recycleAll()
+			s := rebuild(ar, missing[k].seed)
+			s.grow(target)
+			if !opts.DisableSwap {
+				s = swapImprove(s, target)
+			}
+			missing[k].result = append([]int(nil), s.members...)
 		})
+		endPhase()
 		for k := range missing {
 			if missing[k].result == nil {
 				return best // cancelled mid-wave
@@ -352,8 +344,8 @@ func intersectInto(scratch *graph.Bitset, a, b []int) []int {
 // FindExactParallel is FindExact across workers goroutines with byte-
 // identical results. The sequential search's root branches (first node
 // chosen, earlier roots excluded from the subtree) are its partitions:
-// workers steal root indices, explore each subtree depth-first, and publish
-// the best size found to a shared atomic bound.
+// race.First hands root indices to the workers, which explore each subtree
+// depth-first and publish the best size found to a shared atomic bound.
 //
 // Cross-partition pruning must not change which clique is found first, so a
 // subtree is cut on the shared bound only when it cannot *reach* it
@@ -373,39 +365,32 @@ func FindExactParallel(g *Graph, target, workers int) []int {
 	}
 	roots := rootBranches(g)
 	results := make([][]int, len(roots))
-	var next, stop atomic.Int64
+	arenas := make([]*arena, workers)
 	var shared atomic.Int64 // best clique size found by any partition
-	stop.Store(int64(len(roots)))
-	runWorkers(workers, func(int) {
-		ar := newArena(g)
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(roots) {
-				return
-			}
-			if int64(i) > stop.Load() {
-				continue
-			}
-			root := ar.get()
-			if !root.canAdd(roots[i]) {
-				ar.recycleAll()
-				continue
-			}
-			root.add(roots[i])
-			for _, v := range roots[:i] {
-				root.cand.Clear(v)
-			}
-			best := exactDFS(g, ar, root, target, &shared)
-			results[i] = best
-			if len(best) > 0 {
-				casMax(&shared, int64(len(best)))
-			}
-			if len(best) >= target {
-				casMin(&stop, int64(i))
-			}
-			ar.recycleAll()
+	_, panics := race.First(nil, "clique root", len(roots), workers, func(_ context.Context, w, i int) bool {
+		if arenas[w] == nil {
+			arenas[w] = newArena(g)
 		}
+		ar := arenas[w]
+		defer ar.recycleAll()
+		root := ar.get()
+		if !root.canAdd(roots[i]) {
+			return false
+		}
+		root.add(roots[i])
+		for _, v := range roots[:i] {
+			root.cand.Clear(v)
+		}
+		best := exactDFS(g, ar, root, target, &shared)
+		results[i] = best
+		if len(best) > 0 {
+			casMax(&shared, int64(len(best)))
+		}
+		return len(best) >= target
 	})
+	if len(panics) > 0 {
+		panic(panics[0])
+	}
 	// Deterministic reduction: replay the sequential best-update loop over the
 	// per-root results in root order; strict improvement keeps the earliest
 	// partition's clique on ties, exactly as the sequential DFS would.

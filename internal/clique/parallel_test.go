@@ -1,9 +1,13 @@
 package clique
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"regimap/internal/maperr"
 )
 
 // workerCounts are the pool sizes the determinism suite sweeps; CI runs the
@@ -123,3 +127,40 @@ func TestColorBoundNeverPrunesMaximum(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelWorkerPanicReachesCaller: a panic inside a parallel search
+// worker (here, the graph's weight function) must reach the caller's
+// goroutine as a typed *maperr.WorkerPanicError carrying the panic site,
+// where a recover — regimapd's per-request guard — can catch it, instead of
+// killing the process from the worker goroutine.
+func TestParallelWorkerPanicReachesCaller(t *testing.T) {
+	g := NewGraph(8, 10)
+	for u := 0; u < 8; u++ {
+		for v := u + 1; v < 8; v++ {
+			g.AddEdge(u, v)
+		}
+	}
+	g.SetWeightFunc(weightPanics, func(int) bool { return true }, func(int) int { return 0 })
+	searches := map[string]func(){
+		"Find":              func() { Find(g, g.N(), Options{Workers: 2}) },
+		"FindExactParallel": func() { FindExactParallel(g, g.N(), 2) },
+	}
+	for name, search := range searches {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				var wp *maperr.WorkerPanicError
+				if !errors.As(err, &wp) {
+					t.Fatalf("%s: recovered %T %v, want a *maperr.WorkerPanicError", name, err, err)
+				}
+				if !bytes.Contains(wp.Stack, []byte("clique.weightPanics")) {
+					t.Errorf("%s: stack does not point at the panic site:\n%s", name, wp.Stack)
+				}
+			}()
+			search()
+			t.Fatalf("%s returned without panicking", name)
+		}()
+	}
+}
+
+func weightPanics(u, v int) int { panic("deliberate weight panic") }

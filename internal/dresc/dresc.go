@@ -30,20 +30,21 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"regimap/internal/arch"
 	"regimap/internal/dfg"
 	"regimap/internal/maperr"
 	"regimap/internal/obs"
+	"regimap/internal/race"
 	"regimap/internal/sched"
 )
 
 // Failure taxonomy (regimap/internal/maperr), re-exported for callers:
 // errors.Is(err, dresc.ErrNoMapping), errors.Is(err, dresc.ErrAborted), and
-// errors.As with *dresc.InvalidMappingError all work on Map's errors.
+// errors.As with *dresc.InvalidMappingError all work on Map's errors. A
+// restart chain that panics counts as a failed chain; when no II maps, its
+// *maperr.WorkerPanicError joins the no-mapping error's wrap chain.
 var (
 	ErrNoMapping = maperr.ErrNoMapping
 	ErrAborted   = maperr.ErrAborted
@@ -162,6 +163,7 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*Placemen
 	for i := range states {
 		states[i] = &state{d: d, c: c, inc: inc}
 	}
+	var panics []error
 	for ii := startII; ii <= maxII; ii++ {
 		if err := ctx.Err(); err != nil {
 			done()
@@ -173,7 +175,9 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*Placemen
 		if restarts <= 1 {
 			p = annealAtII(ctx, states[0], ii, opts, rng, stats)
 		} else {
-			p = raceAtII(ctx, states, ii, opts, restarts, stats)
+			var crashed []error
+			p, crashed = raceAtII(ctx, states, ii, opts, restarts, stats)
+			panics = append(panics, crashed...)
 		}
 		sp.Field("ii", int64(ii))
 		sp.Field("moves", int64(stats.Moves-moves))
@@ -193,7 +197,8 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*Placemen
 	if err := ctx.Err(); err != nil {
 		return nil, stats, maperr.Aborted(err, "dresc: mapping %s aborted: %v", d.Name, err)
 	}
-	return nil, stats, maperr.NoMapping("dresc: no mapping for %s on %s up to II=%d", d.Name, c, maxII)
+	causes := append([]error{maperr.ErrNoMapping}, panics...)
+	return nil, stats, maperr.Wrap(causes, "dresc: no mapping for %s on %s up to II=%d", d.Name, c, maxII)
 }
 
 // chainSeed derives the RNG seed of one restart chain from (seed, ii, chain)
@@ -210,60 +215,32 @@ func chainSeed(seed int64, ii, chain int) int64 {
 	return int64(x)
 }
 
-// raceAtII runs K seed-derived annealing chains at a fixed II across the
-// worker pool and returns the success of the lowest chain index, replicating
-// "run chains 0..K-1 in order, stop at the first success" (the portfolio /
-// parallel-clique reduction): a stop index lets workers skip chains above a
-// known success, chains below it always run to completion, and stats are
-// merged from exactly the chains the sequential order would have executed.
-func raceAtII(ctx context.Context, states []*state, ii int, opts Options, restarts int, stats *Stats) *Placement {
+// raceAtII runs K seed-derived annealing chains at a fixed II through
+// race.First, one chain arena per worker slot, and returns the success of
+// the lowest chain index (DESIGN.md section 8l): chains below the winner
+// always run to completion, so stats merge over exactly the chains the
+// sequential "run 0..K-1, stop at the first success" order executes. It also
+// returns the recovered chain panics.
+func raceAtII(ctx context.Context, states []*state, ii int, opts Options, restarts int, stats *Stats) (*Placement, []error) {
 	results := make([]*Placement, restarts)
 	chainStats := make([]Stats, restarts)
-	var next atomic.Int64
-	var stop atomic.Int64
-	stop.Store(int64(restarts))
-	var wg sync.WaitGroup
-	for w := 0; w < len(states); w++ {
-		wg.Add(1)
-		go func(st *state) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= restarts {
-					return
-				}
-				if int64(i) > stop.Load() {
-					continue // a lower chain already succeeded
-				}
-				rng := rand.New(rand.NewSource(chainSeed(opts.Seed, ii, i)))
-				if p := annealAtII(ctx, st, ii, opts, rng, &chainStats[i]); p != nil {
-					results[i] = p
-					for {
-						cur := stop.Load()
-						if int64(i) >= cur || stop.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-				}
-			}
-		}(states[w])
-	}
-	wg.Wait()
-	winner := int(stop.Load())
+	winner, panics := race.First(ctx, "dresc chain", restarts, len(states), func(ctx context.Context, w, i int) bool {
+		rng := rand.New(rand.NewSource(chainSeed(opts.Seed, ii, i)))
+		results[i] = annealAtII(ctx, states[w], ii, opts, rng, &chainStats[i])
+		return results[i] != nil
+	})
 	last := restarts - 1
-	if winner < restarts {
+	if winner >= 0 {
 		last = winner
 	}
-	// Chains 0..last always ran (the skip condition only passes indices
-	// above the final stop index), so this merge is worker-count-invariant.
 	for i := 0; i <= last; i++ {
 		stats.Moves += chainStats[i].Moves
 		stats.Accepts += chainStats[i].Accepts
 	}
-	if winner < restarts {
-		return results[winner]
+	if winner < 0 {
+		return nil, panics
 	}
-	return nil
+	return results[winner], panics
 }
 
 // state is one annealing chain's working configuration, arena-style: every

@@ -2,11 +2,14 @@ package dresc
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"regimap/internal/arch"
 	"regimap/internal/dfg"
+	"regimap/internal/maperr"
 )
 
 func fig2DFG() *dfg.DFG {
@@ -241,5 +244,24 @@ func TestPlateauAbortStillMaps(t *testing.T) {
 	}
 	if stats.II < stats.MII {
 		t.Fatalf("II %d below MII %d", stats.II, stats.MII)
+	}
+}
+
+// TestRestartChainPanicIsReturned: restart chains that panic count as failed
+// chains and come back from the race as typed errors naming each chain, on
+// the caller's goroutine. Chain states with no kernel or fabric make every
+// annealing run panic at once. dresc.Map wraps these errors into its
+// no-mapping error when no II maps.
+func TestRestartChainPanicIsReturned(t *testing.T) {
+	states := []*state{{}, {}}
+	p, panics := raceAtII(context.Background(), states, 3, Options{}, 3, &Stats{})
+	if p != nil || len(panics) != 3 {
+		t.Fatalf("got placement %v and %d panics, want none and 3", p, len(panics))
+	}
+	for i, err := range panics {
+		var wp *maperr.WorkerPanicError
+		if !errors.As(err, &wp) || wp.Worker != fmt.Sprintf("dresc chain %d", i) {
+			t.Fatalf("panic %d: %v, want a *maperr.WorkerPanicError from dresc chain %d", i, err, i)
+		}
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"regimap/internal/arch"
@@ -27,6 +25,7 @@ import (
 	"regimap/internal/kernels"
 	"regimap/internal/obs"
 	"regimap/internal/portfolio"
+	"regimap/internal/race"
 )
 
 // Mapper selects one of the three mappers under comparison.
@@ -104,33 +103,10 @@ func (c Config) workerCount() int {
 
 // runIndexed evaluates fn(0..n-1) with up to workers goroutines and returns
 // the results in index order, so parallel suite execution is deterministic.
+// A panicking fn re-panics here, on the caller's goroutine.
 func runIndexed[T any](workers, n int, fn func(int) T) []T {
 	out := make([]T, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := range out {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	race.Each("experiments kernel", n, workers, func(_, i int) { out[i] = fn(i) })
 	return out
 }
 

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"regimap/internal/kernels"
+	"regimap/internal/maperr"
 )
 
 func quickCfg(regs int) Config {
@@ -186,6 +188,24 @@ func TestRunIndexed(t *testing.T) {
 	if got := runIndexed(4, 0, square); len(got) != 0 {
 		t.Errorf("runIndexed with n=0 returned %v", got)
 	}
+}
+
+// TestRunIndexedRepanics: a kernel run that panics on a worker goroutine
+// re-panics on the caller's, as a typed worker panic naming the kernel index.
+func TestRunIndexedRepanics(t *testing.T) {
+	defer func() {
+		var wp *maperr.WorkerPanicError
+		if err, _ := recover().(error); !errors.As(err, &wp) || wp.Worker != "experiments kernel 3" {
+			t.Fatalf("recovered %v, want a worker panic from experiments kernel 3", err)
+		}
+	}()
+	runIndexed(2, 6, func(i int) int {
+		if i == 3 {
+			panic("deliberate kernel panic")
+		}
+		return i
+	})
+	t.Fatal("runIndexed returned without re-panicking")
 }
 
 // TestWorkersDeterministic pins the Workers contract: the concurrency knob

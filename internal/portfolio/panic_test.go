@@ -10,12 +10,13 @@ import (
 	"regimap/internal/mapping"
 )
 
-// TestRacePanicIsolation proves a panicking racer is recovered into a typed
-// error while its siblings keep racing: racer 1 panics, racer 2 still wins.
+// TestRacePanicIsolation drives Map's window race (raceWindow over
+// race.First) and proves a panicking racer is recovered into a typed error
+// while its siblings keep racing: racer 1 panics, racer 2 still wins.
 func TestRacePanicIsolation(t *testing.T) {
 	stats := &Stats{}
 	won := &mapping.Mapping{}
-	res, winner, panics := race(context.Background(), 4, stats, func(ctx context.Context, i int) (*mapping.Mapping, int) {
+	res, winner, panics := raceWindow(context.Background(), 4, stats, func(ctx context.Context, i int) (*mapping.Mapping, int) {
 		switch i {
 		case 1:
 			panic("deliberate test panic")
@@ -56,11 +57,11 @@ func TestRacePanicIsolation(t *testing.T) {
 	}
 }
 
-// TestRacePanicSingleRacer exercises the k==1 inline path, which runs on the
-// caller's goroutine and must be guarded just the same.
+// TestRacePanicSingleRacer exercises the one-racer window, which race.First
+// runs inline on the caller's goroutine and must guard just the same.
 func TestRacePanicSingleRacer(t *testing.T) {
 	stats := &Stats{}
-	res, winner, panics := race(context.Background(), 1, stats, func(ctx context.Context, i int) (*mapping.Mapping, int) {
+	res, winner, panics := raceWindow(context.Background(), 1, stats, func(ctx context.Context, i int) (*mapping.Mapping, int) {
 		panic(errors.New("boom"))
 	})
 	if res != nil || winner != -1 {
@@ -78,7 +79,7 @@ func TestRacePanicSingleRacer(t *testing.T) {
 // deadlock, no crash) and report every panic.
 func TestRaceAllPanic(t *testing.T) {
 	stats := &Stats{}
-	res, winner, panics := race(context.Background(), 3, stats, func(ctx context.Context, i int) (*mapping.Mapping, int) {
+	res, winner, panics := raceWindow(context.Background(), 3, stats, func(ctx context.Context, i int) (*mapping.Mapping, int) {
 		panic(i)
 	})
 	if res != nil || winner != -1 {

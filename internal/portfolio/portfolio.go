@@ -27,8 +27,6 @@ package portfolio
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,12 +35,12 @@ import (
 	"regimap/internal/clique"
 	"regimap/internal/core"
 	"regimap/internal/dfg"
-	"regimap/internal/dresc"
 	"regimap/internal/engine"
 	"regimap/internal/exact"
 	"regimap/internal/maperr"
 	"regimap/internal/mapping"
 	"regimap/internal/obs"
+	"regimap/internal/race"
 )
 
 // Failure taxonomy (regimap/internal/maperr), re-exported for callers. A
@@ -194,7 +192,7 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 		// base search). Lower index therefore means lower II, base before
 		// scouts — exactly race's preference order.
 		sp := tr.Start("portfolio.window")
-		m, winner, crashed := race(ctx, width*perII, stats, func(actx context.Context, r int) (*mapping.Mapping, int) {
+		m, winner, crashed := raceWindow(ctx, width*perII, stats, func(actx context.Context, r int) (*mapping.Mapping, int) {
 			o := opts.Base
 			if s := r % perII; s > 0 {
 				o = scouts[s-1]
@@ -254,6 +252,31 @@ func Map(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts Options) (*mapping.
 	}
 	causes := append([]error{maperr.ErrNoMapping}, panics...)
 	return nil, stats, maperr.Wrap(causes, "portfolio: no mapping for %s on %s up to II=%d (window %d, %d scouts/II)", d.Name, c, maxII, w, e)
+}
+
+// raceWindow races one window's n racers, one goroutine each, through
+// race.First and returns the winner's mapping and index (-1 when every racer
+// failed) plus the recovered racer panics. Racer indices are the preference
+// order, so the winner is the lowest index that mapped.
+func raceWindow(ctx context.Context, n int, stats *Stats, run func(ctx context.Context, r int) (*mapping.Mapping, int)) (*mapping.Mapping, int, []error) {
+	results := make([]*mapping.Mapping, n)
+	var rounds, cancelled atomic.Int64
+	winner, panics := race.First(ctx, "portfolio racer", n, n, func(actx context.Context, _, r int) bool {
+		m, k := run(actx, r)
+		rounds.Add(int64(k))
+		if actx.Err() != nil && ctx.Err() == nil {
+			cancelled.Add(1)
+		}
+		results[r] = m
+		return m != nil
+	})
+	stats.Attempts += int(rounds.Load())
+	stats.Cancelled += int(cancelled.Load())
+	stats.Panics += len(panics)
+	if winner < 0 {
+		return nil, -1, panics
+	}
+	return results[winner], winner, panics
 }
 
 // exactRacer drives one exact.Run on its own goroutine, stepping II-by-II so
@@ -343,225 +366,6 @@ func (x *exactRacer) wait() (*mapping.Mapping, int, exact.Certificate) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.m, x.ii, x.cert
-}
-
-// DRESCOptions configures a DRESC portfolio: K annealing runs differing only
-// in their RNG seed race at each II.
-type DRESCOptions struct {
-	// Attempts is K (<=1: a single run).
-	Attempts int
-	// Base configures attempt 0; attempt i anneals with Seed Base.Seed+i.
-	// Base.MinII is ignored — the portfolio owns II escalation.
-	Base dresc.Options
-}
-
-// MapDRESC races K seed-diversified DRESC annealing runs per II with the same
-// deterministic lowest-index tiebreak as Map. Annealing quality depends on
-// the seed, so — like Map's Explore mode — a wider DRESC portfolio can reach
-// an II a single run misses; results are reproducible for a fixed
-// (Attempts, Base.Seed) but not invariant in K.
-func MapDRESC(ctx context.Context, d *dfg.DFG, c *arch.CGRA, opts DRESCOptions) (*dresc.Placement, *Stats, error) {
-	start := time.Now()
-	if err := d.Validate(); err != nil {
-		return nil, nil, err
-	}
-	k := opts.Attempts
-	if k <= 1 {
-		k = 1
-	}
-	tr := obs.From(ctx).Named("dresc-portfolio", d.Name)
-	pes, memRows := c.MIIResources()
-	stats := &Stats{MII: d.MII(pes, memRows), Winner: -1}
-	tr.Point1("mii", "mii", int64(stats.MII))
-	done := func() {
-		stats.Elapsed = time.Since(start)
-		tr.Point("map.done", "ii", int64(stats.II), "mii", int64(stats.MII), "attempts", int64(stats.Attempts))
-	}
-	maxII := opts.Base.MaxII
-	if maxII <= 0 {
-		maxII = stats.MII + 8 // mirror dresc.Map's default ceiling
-	}
-	anneal := engine.MustLookup("dresc")
-	var panics []error
-	for ii := stats.MII; ii <= maxII; ii++ {
-		if err := ctx.Err(); err != nil {
-			done()
-			return nil, stats, maperr.Aborted(err, "portfolio: mapping %s aborted: %v", d.Name, err)
-		}
-		stats.Races++
-		sp := tr.Start("portfolio.window")
-		p, winner, crashed := race(ctx, k, stats, func(actx context.Context, attempt int) (*dresc.Placement, int) {
-			o := opts.Base
-			o.Seed += int64(attempt)
-			res, err := anneal.Map(actx, d, c, engine.Options{MinII: ii, MaxII: ii, Extra: o})
-			moves := 0
-			if res != nil {
-				moves = res.Rounds
-			}
-			if err != nil || res == nil {
-				return nil, moves
-			}
-			p, _ := res.Artifact.(*dresc.Placement)
-			return p, moves
-		})
-		sp.Field("lo", int64(ii))
-		sp.Field("width", 1)
-		sp.Field("racers", int64(k))
-		sp.FieldBool("ok", p != nil)
-		sp.End()
-		panics = append(panics, crashed...)
-		if p != nil {
-			stats.II = ii
-			stats.Winner = winner
-			done()
-			return p, stats, nil
-		}
-	}
-	done()
-	if err := ctx.Err(); err != nil {
-		return nil, stats, maperr.Aborted(err, "portfolio: mapping %s aborted: %v", d.Name, err)
-	}
-	causes := append([]error{maperr.ErrNoMapping}, panics...)
-	return nil, stats, maperr.Wrap(causes, "portfolio: no DRESC mapping for %s on %s up to II=%d (%d attempts/II)", d.Name, c, maxII, k)
-}
-
-// race runs k racers concurrently and resolves the deterministic winner: the
-// lowest racer index that succeeded. Callers order indices by preference
-// (lower II first, base search before scouts). When racer i succeeds, racers
-// with higher indices are cancelled at once (they cannot win); the race
-// returns as soon as every index below the best success has resolved,
-// cancelling whatever else is still running. It returns the zero value when
-// no racer succeeds. Every racer goroutine has exited by the time race
-// returns, so callers never leak work past a window.
-//
-// A racer that panics does not crash the process or abort its siblings: the
-// panic is recovered into a *maperr.WorkerPanicError on the result channel,
-// the racer counts as failed, and the collected panic errors are returned so
-// the caller can surface them if the whole race comes up empty.
-func race[T any](ctx context.Context, k int, stats *Stats, run func(ctx context.Context, attempt int) (T, int)) (T, int, []error) {
-	var zero T
-	runSafe := func(actx context.Context, i int) (res T, rounds int, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				res, rounds = zero, 0
-				err = &maperr.WorkerPanicError{
-					Worker: fmt.Sprintf("portfolio racer %d", i),
-					Value:  v,
-					Stack:  debug.Stack(),
-				}
-			}
-		}()
-		res, rounds = run(actx, i)
-		return res, rounds, nil
-	}
-	if k == 1 {
-		res, rounds, err := runSafe(ctx, 0)
-		stats.Attempts += rounds
-		if err != nil {
-			stats.Panics++
-			return zero, -1, []error{err}
-		}
-		if isNil(res) {
-			return zero, -1, nil
-		}
-		return res, 0, nil
-	}
-	type outcome struct {
-		index  int
-		result T
-		ok     bool
-		rounds int
-		err    error
-	}
-	results := make(chan outcome, k)
-	cancels := make([]context.CancelFunc, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		actx, cancel := context.WithCancel(ctx)
-		cancels[i] = cancel
-		wg.Add(1)
-		go func(i int, actx context.Context) {
-			defer wg.Done()
-			res, rounds, err := runSafe(actx, i)
-			results <- outcome{index: i, result: res, ok: err == nil && !isNil(res), rounds: rounds, err: err}
-		}(i, actx)
-	}
-
-	done := make([]bool, k)
-	success := make([]T, k)
-	cancelled := make([]bool, k)
-	var panics []error
-	best := k
-	winner := -1
-	var won T
-	for remaining := k; remaining > 0; remaining-- {
-		o := <-results
-		done[o.index] = true
-		stats.Attempts += o.rounds
-		if o.err != nil {
-			stats.Panics++
-			panics = append(panics, o.err)
-		}
-		if o.ok && o.index < best {
-			best = o.index
-			success[o.index] = o.result
-			for j := best + 1; j < k; j++ {
-				if !done[j] && !cancelled[j] {
-					cancelled[j] = true
-					stats.Cancelled++
-					cancels[j]()
-				}
-			}
-		}
-		if best < k {
-			decided := true
-			for j := 0; j < best; j++ {
-				if !done[j] {
-					decided = false
-					break
-				}
-			}
-			if decided {
-				won, winner = success[best], best
-				break
-			}
-		}
-	}
-	for _, cancel := range cancels {
-		cancel()
-	}
-	wg.Wait() // results is buffered k-deep, so racers always finish their send
-	// Drain outcomes that arrived after the decision so a late panic is still
-	// counted and reported.
-	for drained := false; !drained; {
-		select {
-		case o := <-results:
-			stats.Attempts += o.rounds
-			if o.err != nil {
-				stats.Panics++
-				panics = append(panics, o.err)
-			}
-		default:
-			drained = true
-		}
-	}
-	if winner < 0 {
-		return zero, -1, panics
-	}
-	return won, winner, panics
-}
-
-// isNil reports whether a result of pointer type is nil (race's success
-// test; T is always a pointer in this package).
-func isNil[T any](v T) bool {
-	switch x := any(v).(type) {
-	case *mapping.Mapping:
-		return x == nil
-	case *dresc.Placement:
-		return x == nil
-	default:
-		return false
-	}
 }
 
 // Variant derives scout s's mapper configuration for Explore mode. Scout 0

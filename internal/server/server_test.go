@@ -427,6 +427,7 @@ func TestClientErrors(t *testing.T) {
 		{"both kernel and source", `{"kernel":"fir8","source":"x = a[i]"}`, http.StatusBadRequest, "bad-request"},
 		{"unknown kernel", `{"kernel":"nope"}`, http.StatusNotFound, "not-found"},
 		{"unknown mapper", `{"kernel":"fir8","mapper":"nope"}`, http.StatusBadRequest, "bad-engine"},
+		{"removed dresc-portfolio engine", `{"kernel":"fir8","mapper":"dresc-portfolio"}`, http.StatusBadRequest, "bad-engine"},
 		{"bad faults", `{"kernel":"fir8","faults":"pe 99,99"}`, http.StatusBadRequest, "bad-request"},
 		{"bad topology", `{"kernel":"fir8","topology":"hypercube"}`, http.StatusBadRequest, "bad-request"},
 		{"bad II bounds", `{"kernel":"fir8","min_ii":9,"max_ii":2}`, http.StatusBadRequest, "bad-request"},
@@ -574,6 +575,9 @@ func TestDiscoveryEndpoints(t *testing.T) {
 		found := map[string]string{}
 		for _, m := range engines {
 			found[m.Name] = m.Description
+		}
+		if _, ok := found["dresc-portfolio"]; ok {
+			t.Errorf("%s still lists the removed dresc-portfolio engine", path)
 		}
 		for _, want := range []string{"regimap", "ems", "dresc", "portfolio", "resilient", "exact"} {
 			desc, ok := found[want]
