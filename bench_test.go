@@ -260,34 +260,6 @@ func BenchmarkCliqueFind(b *testing.B) {
 	}
 }
 
-// BenchmarkCliqueFindParallel measures the same search with the parallel
-// engine at several worker counts. Results are byte-identical to the
-// sequential engine (DESIGN.md section 8g); only wall-clock may differ.
-// workers=1 is the sequential engine on the same pooled arenas: the
-// same-work row each parallel count is judged against.
-func BenchmarkCliqueFindParallel(b *testing.B) {
-	d := benchKernel()
-	c := arch.NewMesh(4, 4, 4)
-	sc := sched.New(d, 16, 4)
-	res, err := sc.Schedule(sc.MII()+1, sched.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cg, err := core.BuildCompat(d, c, res.Time, res.II, core.CompatOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			pool := clique.NewPool()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clique.Find(cg.G, d.N(), clique.Options{Workers: w, Arenas: pool})
-			}
-		})
-	}
-}
-
 // BenchmarkCliqueFindGrouped measures the grouped constructive search, the
 // clique pass that dominates REGIMap's placement time, on a hard kernel's
 // compatibility graph: dct4_row at its MII (608 nodes, ten bitset words),
@@ -327,8 +299,9 @@ func BenchmarkMapREGIMap(b *testing.B) {
 }
 
 // BenchmarkMapREGIMapParallel is the end-to-end run with the placement
-// passes and the clique search parallelized. workers=1 runs the same passes
-// in order on one goroutine: the same-work sequential row.
+// passes raced on several goroutines; each pass's clique search stays
+// sequential. workers=1 runs the same passes in order on one goroutine: the
+// same-work sequential row.
 func BenchmarkMapREGIMapParallel(b *testing.B) {
 	c := arch.NewMesh(4, 4, 4)
 	for _, w := range []int{1, 2, 4, 8} {

@@ -47,7 +47,7 @@ func main() {
 		jobs          = flag.Int("jobs", runtime.NumCPU(), "map this many kernels concurrently (results are identical at any value)")
 		timeout       = flag.Duration("timeout", 0, "abort any single mapper run after this long (0: unbounded)")
 		portfolio     = flag.Int("portfolio", 1, "race this many diversified REGIMap attempts per II")
-		cliqueWorkers = flag.Int("clique-workers", 0, "parallelize the clique search inside every REGIMap run across this many goroutines (<=1: sequential; results are byte-identical at any value)")
+		cliqueWorkers = flag.Int("clique-workers", 0, "race the placement passes inside every REGIMap run on this many goroutines (<=1: in order on one; results are byte-identical at any value)")
 		drescRestarts = flag.Int("dresc-restarts", 0, "race this many seed-derived annealing chains per II inside every DRESC run (<=1: one chain; part of the experimental setup)")
 		drescWorkers  = flag.Int("dresc-workers", 0, "goroutines racing the DRESC restart chains (0: GOMAXPROCS; results are byte-identical at any value)")
 		runChaos      = flag.Bool("chaos", false, "run the fault-injection chaos harness instead of the paper experiments")

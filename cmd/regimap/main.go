@@ -68,7 +68,7 @@ func main() {
 		timeout       = flag.Duration("timeout", 0, "abort mapping after this long (0: unbounded)")
 		portfolio     = flag.Int("portfolio", 1, "speculate on this many IIs in parallel (regimap mapper; result-identical at any value)")
 		explore       = flag.Int("explore", 0, "also race this many budget-widened scout searches per II (regimap mapper; may lower the II)")
-		cliqueWorkers = flag.Int("clique-workers", 0, "parallelize the clique search across this many goroutines (regimap mapper; <=1: sequential; results are byte-identical at any value)")
+		cliqueWorkers = flag.Int("clique-workers", 0, "race REGIMap's placement passes on this many goroutines (regimap mapper; <=1: in order on one; results are byte-identical at any value)")
 		drescRestarts = flag.Int("dresc-restarts", 0, "race this many seed-derived annealing chains per II (dresc mapper; <=1: one chain; results depend on this, not on -dresc-workers)")
 		drescWorkers  = flag.Int("dresc-workers", 0, "goroutines racing the restart chains (dresc mapper; 0: GOMAXPROCS; results are byte-identical at any value)")
 		cpuProf       = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")

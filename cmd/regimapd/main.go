@@ -51,7 +51,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8090", "listen address")
 		workers     = flag.Int("workers", 0, "max concurrent mapping computations (0: GOMAXPROCS)")
-		cliqueWork  = flag.Int("clique-workers", 0, "goroutines inside each regimap clique search (<=1: sequential; results are byte-identical at any value)")
+		cliqueWork  = flag.Int("clique-workers", 0, "goroutines racing each regimap run's placement passes (<=1: in order on one; results are byte-identical at any value)")
 		drescRetry  = flag.Int("dresc-restarts", 0, "seed-derived annealing chains raced per II inside each dresc run (<=1: one chain; changes served placements, so part of the cache identity)")
 		drescWork   = flag.Int("dresc-workers", 0, "goroutines racing the dresc restart chains (0: GOMAXPROCS; results are byte-identical at any value)")
 		queue       = flag.Int("queue", 64, "max computations waiting for a worker; beyond this, requests are shed with 429")

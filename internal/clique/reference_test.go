@@ -367,6 +367,9 @@ func referenceCases() []struct {
 // TestFindMatchesReference diffs the pooled/incremental Find against the naive
 // reference elementwise over randomized graphs and targets.
 func TestFindMatchesReference(t *testing.T) {
+	// One pool across every case and trial: its arenas hop between graphs
+	// of many sizes, as regimapd's long-lived pool does.
+	pool := NewPool()
 	for _, tc := range referenceCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			for trial := 0; trial < 40; trial++ {
@@ -385,6 +388,11 @@ func TestFindMatchesReference(t *testing.T) {
 				// byte-identical to the first.
 				if again := Find(g, target, tc.opts); !reflect.DeepEqual(got, again) {
 					t.Fatalf("trial %d: Find not deterministic: %v then %v", trial, got, again)
+				}
+				pooled := tc.opts
+				pooled.Arenas = pool
+				if shared := Find(g, target, pooled); !reflect.DeepEqual(shared, want) {
+					t.Fatalf("trial %d: Find with shared pool=%v reference=%v", trial, shared, want)
 				}
 			}
 		})
@@ -413,6 +421,43 @@ func TestFindExactMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestColorBoundNeverPrunesMaximum is the soundness property behind
+// FindExact's pruning: the greedy-coloring upper bound on a
+// candidate set is never below the true maximum feasible clique inside it,
+// so a branch holding the true maximum always survives the prune test.
+// FindExact (which prunes on the bound) must therefore return exactly what
+// the unpruned reference search returns.
+func TestColorBoundNeverPrunesMaximum(t *testing.T) {
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(int64(15000 + trial)))
+		var g *Graph
+		if trial%2 == 0 {
+			g = randomFlatGraph(rng, 6+rng.Intn(12), 1+rng.Intn(4), 0.3+0.5*rng.Float64(), 0.5)
+		} else {
+			g = randomClusterGraph(rng, 6+rng.Intn(12), 1+rng.Intn(3), 2+rng.Intn(3), 0.6)
+		}
+		ref := refFindExact(g, g.N())
+
+		ar := newArena(g)
+		full := ar.get().cand // fresh state: every node is a candidate
+		if cb := colorBound(g, full, ar, g.N()); cb < len(ref) {
+			t.Fatalf("trial %d: coloring bound %d below true maximum clique %v", trial, cb, ref)
+		}
+		// The capped form used by the prune tests must saturate, never
+		// undercut: with limit <= true maximum it must return its limit.
+		if len(ref) > 0 {
+			if cb := colorBound(g, full, ar, len(ref)); cb != len(ref) {
+				t.Fatalf("trial %d: capped coloring bound %d != limit %d", trial, cb, len(ref))
+			}
+		}
+
+		got := FindExact(g, g.N())
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("trial %d: FindExact with coloring bound %v != unpruned reference %v", trial, got, ref)
+		}
 	}
 }
 

@@ -160,14 +160,12 @@ func (a *Attempt) PassCompat(res *sched.Result) (*Compat, error) {
 
 // PassPlace runs the clique search over the compatibility graph. On a full
 // placement it assembles and returns the mapping; otherwise it returns nil
-// and the operations left unplaced (the paper's V_Ds − V_C). ctx reaches the
-// parallel clique engine so a cancelled request stops between partitions;
-// the Clique options' Workers count selects the engine.
+// and the operations left unplaced (the paper's V_Ds − V_C). The Clique
+// options' Workers count races the placement passes; once ctx is cancelled
+// no further pass starts.
 func (a *Attempt) PassPlace(ctx context.Context, cg *Compat, res *sched.Result) (*mapping.Mapping, []int) {
 	sp := a.tr.Start("pass.clique")
-	opts := a.opts.Clique
-	opts.Ctx = ctx
-	sol := findPlacement(cg, a.ds.N(), res.Time, opts, a.tr)
+	sol := findPlacement(ctx, cg, a.ds.N(), res.Time, a.opts.Clique, a.tr)
 	sp.Field("placed", int64(len(sol)))
 	sp.Field("target", int64(a.ds.N()))
 	sp.End()
@@ -342,7 +340,7 @@ func routeBudgetFor(n int) int {
 // places every operation wins; when none does, the earliest largest clique
 // does. race.First runs the passes on opts.Workers goroutines (in order on
 // the caller's with one), so the answer is the same at every worker count.
-func findPlacement(cg *Compat, target int, times []int, opts clique.Options, tr *obs.Tracer) []int {
+func findPlacement(ctx context.Context, cg *Compat, target int, times []int, opts clique.Options, tr *obs.Tracer) []int {
 	opts.Trace = tr
 	var passes []func(o clique.Options) []int
 	if len(times) == target {
@@ -392,10 +390,8 @@ func findPlacement(cg *Compat, target int, times []int, opts clique.Options, tr 
 		})
 	}
 	sols := make([][]int, len(passes))
-	winner, panics := race.First(opts.Ctx, "placement pass", len(passes), opts.Workers, func(ctx context.Context, _, i int) bool {
-		o := opts
-		o.Ctx = ctx
-		sols[i] = passes[i](o)
+	winner, panics := race.First(ctx, "placement pass", len(passes), opts.Workers, func(_ context.Context, _, i int) bool {
+		sols[i] = passes[i](opts)
 		return len(sols[i]) >= target
 	})
 	if len(panics) > 0 {

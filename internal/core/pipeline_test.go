@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"regimap/internal/arch"
+	"regimap/internal/clique"
+	"regimap/internal/maperr"
 	"regimap/internal/obs"
 	"regimap/internal/sched"
 )
@@ -123,6 +127,42 @@ func TestPassPlaceAssemblesValidMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPlacementPassPanicReachesCaller: a panic inside a placement pass (here,
+// the compatibility graph's weight function) must reach findPlacement's
+// caller as a typed *maperr.WorkerPanicError carrying the panic site, where
+// a recover — regimapd's per-request guard — can catch it, instead of killing
+// the process from a race worker goroutine. One worker runs the passes
+// inline; two race them.
+func TestPlacementPassPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		a, _ := newTestAttempt(t, Options{})
+		res := a.PassSchedule()
+		cg, err := a.PassCompat(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cg.G.SetWeightFunc(placementWeightPanics,
+			func(int) bool { return true },
+			func(u int) int { return cg.Pairs[u].PE })
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				var wp *maperr.WorkerPanicError
+				if !errors.As(err, &wp) {
+					t.Fatalf("workers %d: recovered %T %v, want a *maperr.WorkerPanicError", workers, err, err)
+				}
+				if !bytes.Contains(wp.Stack, []byte("core.placementWeightPanics")) {
+					t.Errorf("workers %d: stack does not point at the panic site:\n%s", workers, wp.Stack)
+				}
+			}()
+			findPlacement(context.Background(), cg, a.ds.N(), res.Time, clique.Options{Workers: workers}, nil)
+			t.Fatalf("workers %d: findPlacement returned without panicking", workers)
+		}()
+	}
+}
+
+func placementWeightPanics(u, v int) int { panic("deliberate weight panic") }
 
 func TestPassLearnStallTriggersRelax(t *testing.T) {
 	a, _ := newTestAttempt(t, Options{})

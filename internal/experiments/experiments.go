@@ -64,10 +64,10 @@ type Config struct {
 	// internal/portfolio (<=1: plain core.Map). The deterministic tiebreak
 	// keeps rows reproducible for any value.
 	Portfolio int
-	// CliqueWorkers parallelizes the clique search inside every REGIMap run
-	// (<=1: sequential). Mappings are byte-identical at any value — the
-	// parallel engine's reduction is deterministic (DESIGN.md section 8g) —
-	// so it composes freely with Workers and Portfolio.
+	// CliqueWorkers races REGIMap's placement passes inside every REGIMap
+	// run on this many goroutines (<=1: in order on one). Mappings are
+	// byte-identical at any value — the race is lowest-index-wins (DESIGN.md
+	// section 8l) — so it composes freely with Workers and Portfolio.
 	CliqueWorkers int
 	// DRESCRestarts races this many seed-derived annealing chains per II
 	// inside every DRESC run (<=1: the single-chain escalation). The result

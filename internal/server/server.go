@@ -62,10 +62,11 @@ import (
 type Config struct {
 	// Workers bounds concurrent mapping computations (default: GOMAXPROCS).
 	Workers int
-	// CliqueWorkers parallelizes the clique search inside each regimap-engine
-	// run (<=1: sequential). Mappings are byte-identical at any value — the
-	// parallel engine's reduction is deterministic (DESIGN.md section 8g) —
-	// so the result cache never observes a worker-count-dependent answer.
+	// CliqueWorkers races REGIMap's placement passes inside each
+	// regimap-engine run on this many goroutines (<=1: in order on one).
+	// Mappings are byte-identical at any value — the race is
+	// lowest-index-wins (DESIGN.md section 8l) — so the result cache never
+	// observes a worker-count-dependent answer.
 	// Search arenas are pooled on the Server and reused across requests
 	// regardless of this setting.
 	CliqueWorkers int
@@ -472,7 +473,7 @@ func (s *Server) resolve(req *MapRequest) (d *dfg.DFG, c *arch.CGRA, eng engine.
 	if mapperName == "dresc" {
 		// Restart racing is deterministic per (seed, restarts), so handing
 		// the engine the server's chain configuration keeps the cache
-		// coherent the same way the clique workers do for regimap.
+		// coherent the same way the placement workers do for regimap.
 		eo.Extra = dresc.Options{Restarts: s.cfg.DRESCRestarts, Workers: s.cfg.DRESCWorkers}
 	}
 
